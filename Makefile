@@ -26,6 +26,7 @@ bench:
 # Short bursts of the native fuzz targets; CI runs the same.
 fuzz-smoke:
 	$(GO) test ./internal/mapreduce -run '^$$' -fuzz FuzzDecodeKVs -fuzztime=10s
+	$(GO) test ./internal/mapreduce -run '^$$' -fuzz FuzzGroupAndCombine -fuzztime=10s
 	$(GO) test ./internal/kde -run '^$$' -fuzz FuzzPartitionCDF -fuzztime=10s
 
 fmt:

@@ -11,6 +11,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"eclipsemr/internal/mapreduce"
 )
@@ -70,13 +72,45 @@ func init() {
 
 // wordCountMap emits (word, 1) for every whitespace-separated token.
 func wordCountMap(_ mapreduce.Params, input []byte, emit mapreduce.Emit) error {
-	for _, w := range strings.Fields(string(input)) {
-		if err := emit(w, one); err != nil {
-			return err
+	return forEachField(string(input), func(w string) error { return emit(w, one) })
+}
+
+// forEachField calls fn with each field of s, splitting exactly as
+// strings.Fields does (around runs of unicode.IsSpace) but without
+// building the slice: fields are substrings of s.
+func forEachField(s string, fn func(field string) error) error {
+	start := -1 // start of the current field, -1 between fields
+	for i := 0; i < len(s); {
+		c := s[i]
+		size := 1
+		var space bool
+		if c < utf8.RuneSelf {
+			space = asciiSpace[c]
+		} else {
+			var r rune
+			r, size = utf8.DecodeRuneInString(s[i:])
+			space = unicode.IsSpace(r)
 		}
+		if space {
+			if start >= 0 {
+				if err := fn(s[start:i]); err != nil {
+					return err
+				}
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+		i += size
+	}
+	if start >= 0 {
+		return fn(s[start:])
 	}
 	return nil
 }
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 var one = []byte("1")
 
@@ -91,7 +125,8 @@ func sumReduce(_ mapreduce.Params, key string, values [][]byte, emit mapreduce.E
 		}
 		total += n
 	}
-	return emit(key, []byte(strconv.FormatInt(total, 10)))
+	var buf [20]byte
+	return emit(key, strconv.AppendInt(buf[:0], total, 10))
 }
 
 // grepMap emits matching lines; the pattern comes from the "pattern"
@@ -101,34 +136,24 @@ func grepMap(params mapreduce.Params, input []byte, emit mapreduce.Emit) error {
 	if pattern == "" {
 		return fmt.Errorf("apps: grep requires a %q parameter", "pattern")
 	}
-	for _, line := range strings.Split(string(input), "\n") {
+	return splitLines(input, func(line string) error {
 		if strings.Contains(line, pattern) {
-			if err := emit(line, one); err != nil {
-				return err
-			}
+			return emit(line, one)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // invertedIndexMap parses "docID\ttext" lines and emits (word, docID).
 func invertedIndexMap(_ mapreduce.Params, input []byte, emit mapreduce.Emit) error {
-	for _, line := range strings.Split(string(input), "\n") {
-		if line == "" {
-			continue
-		}
-		parts := strings.SplitN(line, "\t", 2)
-		if len(parts) != 2 {
+	return splitLines(input, func(line string) error {
+		doc, text, ok := strings.Cut(line, "\t")
+		if !ok {
 			return fmt.Errorf("apps: inverted index: malformed document line %.40q", line)
 		}
-		doc := parts[0]
-		for _, w := range strings.Fields(parts[1]) {
-			if err := emit(w, []byte(doc)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+		docID := []byte(doc) // Emit copies, so one conversion serves the line
+		return forEachField(text, func(w string) error { return emit(w, docID) })
+	})
 }
 
 // invertedIndexReduce emits the sorted, deduplicated posting list.
@@ -150,26 +175,23 @@ func invertedIndexReduce(_ mapreduce.Params, key string, values [][]byte, emit m
 // shuffle and reducer-side grouping do the sorting work, which is what
 // the paper's sort benchmark stresses.
 func sortMap(_ mapreduce.Params, input []byte, emit mapreduce.Emit) error {
-	for _, line := range strings.Split(string(input), "\n") {
-		if line == "" {
-			continue
-		}
-		if err := emit(line, one); err != nil {
-			return err
-		}
-	}
-	return nil
+	return splitLines(input, func(line string) error { return emit(line, one) })
 }
 
 // sortReduce emits each distinct record with its multiplicity; within a
 // partition the output is key-sorted.
 func sortReduce(_ mapreduce.Params, key string, values [][]byte, emit mapreduce.Emit) error {
-	return emit(key, []byte(strconv.Itoa(len(values))))
+	var buf [20]byte
+	return emit(key, strconv.AppendInt(buf[:0], int64(len(values)), 10))
 }
 
-// splitLines iterates non-empty lines.
+// splitLines calls fn with each non-empty '\n'-separated line of input,
+// as substrings of one string copy of the block.
 func splitLines(input []byte, fn func(line string) error) error {
-	for _, line := range strings.Split(string(input), "\n") {
+	s := string(input)
+	for s != "" {
+		line, rest, _ := strings.Cut(s, "\n")
+		s = rest
 		if line == "" {
 			continue
 		}

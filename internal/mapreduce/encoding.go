@@ -1,9 +1,11 @@
 package mapreduce
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // KV is one key-value pair in the intermediate and output streams.
@@ -48,71 +50,104 @@ func EncodeKVs(kvs []KV) []byte {
 
 // DecodeKVs parses a stream back into pairs. Values are copied out of
 // data, so the result outlives the input buffer.
-func DecodeKVs(data []byte) ([]KV, error) { return decodeKVs(data, true) }
-
-// decodeKVsView is DecodeKVs without the value copies: Values alias data,
-// so the result is only valid while data is. The spill sender uses it to
-// feed the combiner without duplicating a whole buffered spill.
-func decodeKVsView(data []byte) ([]KV, error) { return decodeKVs(data, false) }
-
-func decodeKVs(data []byte, copyValues bool) ([]KV, error) {
+func DecodeKVs(data []byte) ([]KV, error) {
 	var out []KV
 	for off := 0; off < len(data); {
-		if off+4 > len(data) {
-			return nil, fmt.Errorf("mapreduce: truncated key length at offset %d", off)
+		key, value, next, err := nextKV(data, off)
+		if err != nil {
+			return nil, err
 		}
-		// The wire lengths are untrusted u32s: bound them against the
-		// remaining bytes in uint64 space *before* converting to int, so a
-		// corrupt stream with a length >= 2^31 errors out instead of going
-		// negative and panicking on 32-bit platforms.
-		klen64 := uint64(binary.BigEndian.Uint32(data[off:]))
-		off += 4
-		if klen64 > uint64(len(data)-off) {
-			return nil, fmt.Errorf("mapreduce: truncated key at offset %d", off)
-		}
-		klen := int(klen64)
-		key := string(data[off : off+klen])
-		off += klen
-		if off+4 > len(data) {
-			return nil, fmt.Errorf("mapreduce: truncated value length at offset %d", off)
-		}
-		vlen64 := uint64(binary.BigEndian.Uint32(data[off:]))
-		off += 4
-		if vlen64 > uint64(len(data)-off) {
-			return nil, fmt.Errorf("mapreduce: truncated value at offset %d", off)
-		}
-		vlen := int(vlen64)
-		value := data[off : off+vlen : off+vlen]
-		if copyValues {
-			value = append([]byte(nil), value...)
-		}
-		off += vlen
-		out = append(out, KV{Key: key, Value: value})
+		out = append(out, KV{Key: string(key), Value: append([]byte(nil), value...)})
+		off = next
 	}
 	return out, nil
 }
 
-// GroupByKey sorts pairs by key and collates the values of equal keys,
-// preserving the pairs' relative order within a key (stable sort): the
-// reducer contract.
-func GroupByKey(kvs []KV) []Group {
-	sorted := append([]KV(nil), kvs...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	var out []Group
-	for i := 0; i < len(sorted); {
-		j := i
-		var values [][]byte
-		for ; j < len(sorted) && sorted[j].Key == sorted[i].Key; j++ {
-			values = append(values, sorted[j].Value)
-		}
-		out = append(out, Group{Key: sorted[i].Key, Values: values})
-		i = j
+// nextKV is the one bounds-checked walker over an encoded stream: it
+// parses the pair starting at off and returns its key and value as
+// subslices of data (the value capped at its length) plus the offset of
+// the next pair.
+func nextKV(data []byte, off int) (key, value []byte, next int, err error) {
+	if off+4 > len(data) {
+		return nil, nil, 0, fmt.Errorf("mapreduce: truncated key length at offset %d", off)
 	}
-	return out
+	// The wire lengths are untrusted u32s: bound them against the
+	// remaining bytes in uint64 space *before* converting to int, so a
+	// corrupt stream with a length >= 2^31 errors out instead of going
+	// negative and panicking on 32-bit platforms.
+	klen64 := uint64(binary.BigEndian.Uint32(data[off:]))
+	off += 4
+	if klen64 > uint64(len(data)-off) {
+		return nil, nil, 0, fmt.Errorf("mapreduce: truncated key at offset %d", off)
+	}
+	klen := int(klen64)
+	key = data[off : off+klen]
+	off += klen
+	if off+4 > len(data) {
+		return nil, nil, 0, fmt.Errorf("mapreduce: truncated value length at offset %d", off)
+	}
+	vlen64 := uint64(binary.BigEndian.Uint32(data[off:]))
+	off += 4
+	if vlen64 > uint64(len(data)-off) {
+		return nil, nil, 0, fmt.Errorf("mapreduce: truncated value at offset %d", off)
+	}
+	vlen := int(vlen64)
+	return key, data[off : off+vlen : off+vlen], off + vlen, nil
 }
 
-// Group is one reduce input: a key and all of its values.
-type Group struct {
-	Key    string
-	Values [][]byte
+// pairRef locates one validated pair inside its stream: the pair starts
+// at off, its key at off+4 and its value at off+8+keyLen. Sixteen bytes
+// per pair is all the reduce-side sort moves.
+type pairRef struct {
+	off            uint64
+	keyLen, valLen uint32
+}
+
+func (p pairRef) key(data []byte) []byte {
+	k := int(p.off) + 4
+	return data[k : k+int(p.keyLen)]
+}
+
+func (p pairRef) value(data []byte) []byte {
+	v := int(p.off) + 8 + int(p.keyLen)
+	return data[v : v+int(p.valLen) : v+int(p.valLen)]
+}
+
+// GroupByKey is the reducer contract over an encoded stream: it calls fn
+// once per distinct key, in increasing byte order of keys, with that
+// key's values in stream order. The values alias data and the slice
+// holding them is reused between calls, so fn must neither modify nor
+// keep them. A corrupt stream is rejected before fn is first called.
+func GroupByKey(data []byte, fn func(key string, values [][]byte) error) error {
+	var pairs []pairRef
+	for off := 0; off < len(data); {
+		key, value, next, err := nextKV(data, off)
+		if err != nil {
+			return err
+		}
+		pairs = append(pairs, pairRef{off: uint64(off), keyLen: uint32(len(key)), valLen: uint32(len(value))})
+		off = next
+	}
+	// Offsets are unique, so breaking ties on them makes the sort stable
+	// by construction.
+	slices.SortFunc(pairs, func(a, b pairRef) int {
+		if c := bytes.Compare(a.key(data), b.key(data)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.off, b.off)
+	})
+	var values [][]byte
+	for i := 0; i < len(pairs); {
+		key := pairs[i].key(data)
+		values = values[:0]
+		j := i
+		for ; j < len(pairs) && bytes.Equal(pairs[j].key(data), key); j++ {
+			values = append(values, pairs[j].value(data))
+		}
+		if err := fn(string(key), values[:len(values):len(values)]); err != nil {
+			return err
+		}
+		i = j
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -72,14 +73,39 @@ func TestEncodingConcatenation(t *testing.T) {
 	}
 }
 
+// group is one GroupByKey call with its values copied out, so tests can
+// hold on to them past the callback.
+type group struct {
+	Key    string
+	Values [][]byte
+}
+
+// collectGroups runs GroupByKey over data and records every call.
+func collectGroups(data []byte) ([]group, error) {
+	var out []group
+	err := GroupByKey(data, func(key string, values [][]byte) error {
+		g := group{Key: key}
+		for _, v := range values {
+			g.Values = append(g.Values, append([]byte(nil), v...))
+		}
+		out = append(out, g)
+		return nil
+	})
+	return out, err
+}
+
 func TestGroupByKey(t *testing.T) {
-	kvs := []KV{
+	data := EncodeKVs([]KV{
 		{Key: "b", Value: []byte("1")},
 		{Key: "a", Value: []byte("2")},
 		{Key: "b", Value: []byte("3")},
 		{Key: "a", Value: []byte("4")},
+	})
+	orig := append([]byte(nil), data...)
+	groups, err := collectGroups(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	groups := GroupByKey(kvs)
 	if len(groups) != 2 {
 		t.Fatalf("groups = %d", len(groups))
 	}
@@ -93,12 +119,19 @@ func TestGroupByKey(t *testing.T) {
 	if string(groups[1].Values[0]) != "1" || string(groups[1].Values[1]) != "3" {
 		t.Fatalf("b values = %q", groups[1].Values)
 	}
-	if got := GroupByKey(nil); len(got) != 0 {
-		t.Fatalf("empty group = %v", got)
+	if got, err := collectGroups(nil); err != nil || len(got) != 0 {
+		t.Fatalf("empty group = %v, %v", got, err)
 	}
-	// Input must not be reordered in place.
-	if kvs[0].Key != "b" {
+	// The stream must not be reordered in place.
+	if !bytes.Equal(data, orig) {
 		t.Fatal("GroupByKey mutated its input")
+	}
+	// A callback error stops the walk and is returned as is.
+	stop := errors.New("stop")
+	calls := 0
+	err = GroupByKey(data, func(string, [][]byte) error { calls++; return stop })
+	if err != stop || calls != 1 {
+		t.Fatalf("callback error: err=%v after %d calls", err, calls)
 	}
 }
 

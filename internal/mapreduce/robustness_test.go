@@ -52,19 +52,28 @@ func TestKVRoundTripArbitrary(t *testing.T) {
 	}
 }
 
-// Property: GroupByKey conserves every value exactly once.
+// Property: GroupByKey conserves every value exactly once, visiting each
+// key once.
 func TestGroupByKeyConservesValues(t *testing.T) {
 	f := func(keys []uint8, payload uint8) bool {
 		kvs := make([]KV, len(keys))
 		for i, k := range keys {
 			kvs[i] = KV{Key: string(rune('a' + k%16)), Value: []byte{payload, k}}
 		}
-		groups := GroupByKey(kvs)
+		groups, err := collectGroups(EncodeKVs(kvs))
+		if err != nil {
+			return false
+		}
 		total := 0
+		seen := make(map[string]bool)
 		for _, g := range groups {
+			if seen[g.Key] {
+				return false
+			}
+			seen[g.Key] = true
 			total += len(g.Values)
-			for i := 1; i < len(g.Values); i++ {
-				if g.Key == "" {
+			for _, v := range g.Values {
+				if string(rune('a'+v[1]%16)) != g.Key {
 					return false
 				}
 			}

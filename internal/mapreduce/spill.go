@@ -254,23 +254,59 @@ func (s *spillSender) push(ctx context.Context, node hashing.NodeID, entries []d
 }
 
 // combineStream runs the combiner over one encoded spill, returning a
-// pooled buffer with the combined stream. The decode is zero-copy (the
-// group values alias data), and the combiner's output is appended
-// straight into the result buffer — no intermediate KV materialization.
+// pooled buffer with the combined stream. It groups by hash without
+// decoding to pairs: a key string is allocated only when the key first
+// appears, and the values handed to the combiner alias data. Keys are
+// combined in first-appearance order, taken from a slice rather than map
+// iteration, so a retried attempt's combined spill is byte-identical.
 func combineStream(fn ReduceFunc, params Params, data []byte) (*[]byte, error) {
-	kvs, err := decodeKVsView(data)
-	if err != nil {
-		return nil, fmt.Errorf("mapreduce: combine input: %w", err)
+	idx := make(map[string]int32)
+	var keys []string
+	var counts []int32  // values per group
+	var groupOf []int32 // group of each pair, in stream order
+	for off := 0; off < len(data); {
+		key, _, next, err := nextKV(data, off)
+		if err != nil {
+			return nil, fmt.Errorf("mapreduce: combine input: %w", err)
+		}
+		g, ok := idx[string(key)]
+		if !ok {
+			g = int32(len(keys))
+			k := string(key)
+			idx[k] = g
+			keys = append(keys, k)
+			counts = append(counts, 0)
+		}
+		counts[g]++
+		groupOf = append(groupOf, g)
+		off = next
 	}
+	// Lay every group's values out contiguously in one flat slice, each
+	// group in stream order. fill[g] is group g's next free slot; after
+	// the scatter it is the group's end.
+	fill := make([]int32, len(keys))
+	for g := 1; g < len(fill); g++ {
+		fill[g] = fill[g-1] + counts[g-1]
+	}
+	flat := make([][]byte, len(groupOf))
+	for i, off := 0, 0; off < len(data); i++ {
+		_, value, next, _ := nextKV(data, off) // validated above
+		g := groupOf[i]
+		flat[fill[g]] = value
+		fill[g]++
+		off = next
+	}
+
 	out := getSpillBuf()
 	emit := func(key string, value []byte) error {
 		*out = AppendKV(*out, KV{Key: key, Value: value})
 		return nil
 	}
-	for _, g := range GroupByKey(kvs) {
-		if err := fn(params, g.Key, g.Values, emit); err != nil {
+	for g, key := range keys {
+		end := fill[g]
+		if err := fn(params, key, flat[end-counts[g]:end:end], emit); err != nil {
 			putSpillBuf(out)
-			return nil, fmt.Errorf("mapreduce: combine key %q: %w", g.Key, err)
+			return nil, fmt.Errorf("mapreduce: combine key %q: %w", key, err)
 		}
 	}
 	return out, nil

@@ -41,7 +41,9 @@ func (p Params) Clone() Params {
 	return out
 }
 
-// Emit receives one intermediate or output key-value pair.
+// Emit receives one intermediate or output key-value pair. The engine's
+// Emit copies both arguments before returning, so a caller may reuse or
+// modify its buffers afterwards.
 type Emit func(key string, value []byte) error
 
 // MapFunc processes one input block.
@@ -49,6 +51,10 @@ type MapFunc func(params Params, input []byte, emit Emit) error
 
 // ReduceFunc processes all values of one intermediate key. It also serves
 // as the optional combiner run over map-side buffers before spilling.
+// The values alias the engine's encoded stream and are valid only for the
+// duration of the call: a ReduceFunc must not modify them or keep them
+// (or the values slice) after it returns. Copy what must outlive the call;
+// passing a value to Emit is safe, since Emit copies.
 type ReduceFunc func(params Params, key string, values [][]byte, emit Emit) error
 
 // App is a registered MapReduce application.

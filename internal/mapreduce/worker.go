@@ -261,8 +261,18 @@ func (w *Worker) runMap(ctx context.Context, req RunMapReq) (RunMapResp, error) 
 		}
 	}
 
+	// Hash each distinct key once per task: routing memoizes key ->
+	// partition for the first routeMemoCap keys, so a Zipf-skewed map
+	// pays one SHA-1 per popular key instead of one per pair.
+	route := make(map[string]int)
 	emit := func(key string, value []byte) error {
-		part := table.LookupIndex(hashing.KeyOfString(key))
+		part, ok := route[key]
+		if !ok {
+			part = table.LookupIndex(hashing.KeyOfString(key))
+			if len(route) < routeMemoCap {
+				route[key] = part
+			}
+		}
 		if wanted != nil && !wanted[part] {
 			return nil
 		}
@@ -310,6 +320,11 @@ func (w *Worker) runMap(ctx context.Context, req RunMapReq) (RunMapResp, error) 
 	resp.PartBytes = partBytes
 	return resp, nil
 }
+
+// routeMemoCap bounds the per-task key -> partition memo, so a map task
+// emitting unboundedly many distinct keys keeps its memory bounded; keys
+// beyond the cap are simply hashed on every emit.
+const routeMemoCap = 4096
 
 // partitionName is the segment-store partition label for index part.
 func partitionName(part int) string { return fmt.Sprintf("p%04d", part) }
@@ -393,6 +408,11 @@ func (w *Worker) runReduce(ctx context.Context, req RunReduceReq) (RunReduceResp
 					req.Partition, err)
 			}
 		}
+		size := 0
+		for _, seg := range segments {
+			size += len(seg)
+		}
+		merged = make([]byte, 0, size)
 		for _, seg := range segments {
 			merged = append(merged, seg...)
 		}
@@ -407,10 +427,6 @@ func (w *Worker) runReduce(ctx context.Context, req RunReduceReq) (RunReduceResp
 	if len(merged) == 0 {
 		return resp, nil // empty partition
 	}
-	kvs, err := DecodeKVs(merged)
-	if err != nil {
-		return RunReduceResp{}, fmt.Errorf("mapreduce: partition %d corrupt: %w", req.Partition, err)
-	}
 	var output []byte
 	emit := func(key string, value []byte) error {
 		output = AppendKV(output, KV{Key: key, Value: value})
@@ -418,12 +434,21 @@ func (w *Worker) runReduce(ctx context.Context, req RunReduceReq) (RunReduceResp
 	}
 	computeTimer := w.reg.Histogram("mr.reduce.compute_ns").Start()
 	_, comp := w.tracer.StartSpan(ctx, "reduce.compute")
-	for _, g := range GroupByKey(kvs) {
+	var reduceErr error
+	err = GroupByKey(merged, func(key string, values [][]byte) error {
 		resp.Keys++
-		if err := app.Reduce(req.Params, g.Key, g.Values, emit); err != nil {
-			comp.End()
-			return RunReduceResp{}, fmt.Errorf("mapreduce: reduce key %q: %w", g.Key, err)
+		if err := app.Reduce(req.Params, key, values, emit); err != nil {
+			reduceErr = fmt.Errorf("mapreduce: reduce key %q: %w", key, err)
+			return reduceErr
 		}
+		return nil
+	})
+	if err != nil {
+		comp.End()
+		if reduceErr != nil {
+			return RunReduceResp{}, reduceErr
+		}
+		return RunReduceResp{}, fmt.Errorf("mapreduce: partition %d corrupt: %w", req.Partition, err)
 	}
 	comp.End()
 	computeTimer.Stop()
