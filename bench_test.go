@@ -473,10 +473,10 @@ func BenchmarkHarnessTraceOverhead(b *testing.B) {
 // scenario with event recording on and captures the resulting debug
 // bundle — the same canonical format the engine's flight recorder
 // writes. When BENCH_DIR is set the bundle lands in bundle.json, which
-// CI re-validates with cmd/bundlecheck so a schema drift in the capture
-// path fails the build, not the person who later opens a real incident
-// bundle. The headline metrics are the recovered wall time and the size
-// of the merged timeline.
+// CI re-validates with `eclipse-check bundle` so a schema drift in the
+// capture path fails the build, not the person who later opens a real
+// incident bundle. The headline metrics are the recovered wall time and
+// the size of the merged timeline.
 func BenchmarkHarnessChaosBundle(b *testing.B) {
 	var (
 		data    []byte

@@ -260,26 +260,8 @@ func main() {
 		// Every node keeps its own span ring; collect them all and merge.
 		// The driver re-emits spans for tasks it dispatched, so Dedupe
 		// collapses duplicates by span ID.
-		var (
-			spans   []trace.Span
-			dropped int64
-			reached int
-		)
-		for _, id := range sortedIDs(hosts) {
-			var resp cluster.SpansResp
-			err := nodecmd.Call(net, id, cluster.MethodSpans, cluster.SpansReq{Trace: jobID}, &resp)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "node %s: %v\n", id, err)
-				continue
-			}
-			reached++
-			spans = append(spans, resp.Spans...)
-			dropped += resp.Dropped
-		}
-		if reached == 0 {
-			log.Fatal("eclipse-cli: trace: no node reachable")
-		}
-		spans = trace.Dedupe(spans)
+		spans, dropped := collectAll(net, hosts, "trace", cluster.MethodSpans, cluster.SpansReq{Trace: jobID},
+			func(r *cluster.SpansResp) ([]trace.Span, int64) { return r.Spans, r.Dropped }, trace.Dedupe)
 		if len(spans) == 0 {
 			log.Fatalf("eclipse-cli: trace: no spans for job %q (was the cluster started with tracing enabled?)", jobID)
 		}
@@ -323,26 +305,8 @@ func main() {
 
 		// Every node keeps its own event ring; collect them all and merge
 		// into one deterministic timeline.
-		var (
-			evs     []events.Event
-			dropped int64
-			reached int
-		)
-		for _, id := range sortedIDs(hosts) {
-			var resp cluster.EventsResp
-			err := nodecmd.Call(net, id, cluster.MethodEvents, cluster.EventsReq{Job: jobID}, &resp)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "node %s: %v\n", id, err)
-				continue
-			}
-			reached++
-			evs = append(evs, resp.Events...)
-			dropped += resp.Dropped
-		}
-		if reached == 0 {
-			log.Fatal("eclipse-cli: events: no node reachable")
-		}
-		evs = events.Merge(evs)
+		evs, dropped := collectAll(net, hosts, "events", cluster.MethodEvents, cluster.EventsReq{Job: jobID},
+			func(r *cluster.EventsResp) ([]events.Event, int64) { return r.Events, r.Dropped }, events.Merge)
 		f := events.Filter{Kinds: kinds, Node: *nodeFlag}
 		if *sinceFlag > 0 && len(evs) > 0 {
 			// Node clocks stamp the events, so "the last 5m" is anchored on
@@ -435,6 +399,35 @@ func printClusterStats(net transport.Network, hosts map[hashing.NodeID]string) {
 	delete(total.Values, "cache.ocache.hit_ratio_bp")
 
 	renderStats(os.Stdout, total, reached, len(hosts))
+}
+
+// collectAll sends one collection RPC (cluster.spans, cluster.events)
+// to every host and returns the union of the items the replies carry,
+// canonicalized by merge, plus their summed dropped counts. Unreachable
+// nodes are reported on stderr and skipped; when none answers, the cmd
+// subcommand fails.
+func collectAll[Resp, T any](net transport.Network, hosts map[hashing.NodeID]string, cmd, method string, req any,
+	items func(*Resp) ([]T, int64), merge func([]T) []T) ([]T, int64) {
+	var (
+		all     []T
+		dropped int64
+		reached int
+	)
+	for _, id := range sortedIDs(hosts) {
+		var resp Resp
+		if err := nodecmd.Call(net, id, method, req, &resp); err != nil {
+			fmt.Fprintf(os.Stderr, "node %s: %v\n", id, err)
+			continue
+		}
+		reached++
+		got, d := items(&resp)
+		all = append(all, got...)
+		dropped += d
+	}
+	if reached == 0 {
+		log.Fatalf("eclipse-cli: %s: no node reachable", cmd)
+	}
+	return merge(all), dropped
 }
 
 // paramList collects repeated -param key=value flags.

@@ -86,6 +86,51 @@ type Report struct {
 	TraceDropped int64 `json:"trace_dropped,omitempty"`
 }
 
+// Validate checks a wordcount or kmeans report: a positive wall time
+// with one timing per job, and the shuffle pipeline headline fields
+// populated — intermediate bytes actually moved, at least one coalesced
+// batch RPC, never more batches than spills, and a recorded send p99. A
+// report that silently lost its shuffle accounting fails here instead of
+// shipping as a perf point.
+func (rep Report) Validate() error {
+	switch rep.Name {
+	case "wordcount", "kmeans":
+	default:
+		return fmt.Errorf("name = %q, want \"wordcount\" or \"kmeans\"", rep.Name)
+	}
+	if rep.WallMS <= 0 {
+		return fmt.Errorf("wall_ms = %v", rep.WallMS)
+	}
+	if rep.Name == "wordcount" && len(rep.JobMS) != rep.Config.Jobs {
+		return fmt.Errorf("job_ms has %d entries for %d jobs", len(rep.JobMS), rep.Config.Jobs)
+	}
+	if len(rep.JobMS) == 0 {
+		return fmt.Errorf("job_ms is empty")
+	}
+	for i, ms := range rep.JobMS {
+		if ms <= 0 {
+			return fmt.Errorf("job_ms[%d] = %v", i, ms)
+		}
+	}
+	if rep.BytesShuffled <= 0 {
+		return fmt.Errorf("bytes_shuffled = %d, want > 0", rep.BytesShuffled)
+	}
+	if rep.ShuffleBatches <= 0 {
+		return fmt.Errorf("shuffle_batches = %d, want >= 1", rep.ShuffleBatches)
+	}
+	spills := rep.Counters["mr.shuffle.spills"]
+	if spills <= 0 {
+		return fmt.Errorf("counters[mr.shuffle.spills] = %d, want > 0", spills)
+	}
+	if rep.ShuffleBatches > spills {
+		return fmt.Errorf("shuffle_batches = %d exceeds spills = %d", rep.ShuffleBatches, spills)
+	}
+	if rep.ShuffleSendP99MS <= 0 {
+		return fmt.Errorf("shuffle_send_p99_ms = %v, want > 0", rep.ShuffleSendP99MS)
+	}
+	return nil
+}
+
 // Run executes the named workload ("wordcount" or "kmeans") on a fresh
 // in-process cluster and returns the report.
 func Run(name string, cfg Config) (Report, error) {

@@ -95,6 +95,49 @@ type RingReport struct {
 	Backends  []RingBackendReport `json:"backends"`
 }
 
+// Validate checks a ring report: every -ring backend present, at least
+// three ascending member counts per backend, and each point carrying a
+// positive lookup timing plus join/leave churn fractions in [0, 1]. A
+// silently empty or malformed report fails here instead of shipping as
+// a perf point.
+func (rep RingReport) Validate() error {
+	if rep.Name != "ring" {
+		return fmt.Errorf("name = %q, want \"ring\"", rep.Name)
+	}
+	byAlg := make(map[string]RingBackendReport, len(rep.Backends))
+	for _, back := range rep.Backends {
+		byAlg[back.Algorithm] = back
+	}
+	for _, alg := range hashing.Algorithms() {
+		back, ok := byAlg[alg]
+		if !ok {
+			return fmt.Errorf("backend %q missing", alg)
+		}
+		if len(back.Points) < 3 {
+			return fmt.Errorf("backend %q has %d points, want >= 3 member counts", alg, len(back.Points))
+		}
+		prev := 0
+		for _, pt := range back.Points {
+			if pt.Nodes <= prev {
+				return fmt.Errorf("backend %q: member counts not ascending at %d", alg, pt.Nodes)
+			}
+			prev = pt.Nodes
+			if pt.LookupNS <= 0 {
+				return fmt.Errorf("backend %q/%d: lookup_ns = %v", alg, pt.Nodes, pt.LookupNS)
+			}
+			for name, frac := range map[string]float64{
+				"join_remapped_frac":  pt.JoinRemappedFrac,
+				"leave_remapped_frac": pt.LeaveRemappedFrac,
+			} {
+				if frac < 0 || frac > 1 {
+					return fmt.Errorf("backend %q/%d: %s = %v", alg, pt.Nodes, name, frac)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // RingBench measures every ring backend and returns the report.
 func RingBench(cfg RingBenchConfig) (RingReport, error) {
 	rep := RingReport{Name: "ring", GoVersion: runtime.Version(), Config: cfg}

@@ -4,8 +4,9 @@
 // spans, durable journal state, and the ring/membership view. Bundles
 // are produced by the flight recorder (automatically on job failure or
 // recovery), by `eclipse-cli debug bundle` on demand, and by the
-// simulator's capture hook; cmd/bundlecheck validates them in CI so a
-// malformed capture fails the build, not the person debugging at 3am.
+// simulator's capture hook; `eclipse-check bundle` validates them in CI
+// so a malformed capture fails the build, not the person debugging at
+// 3am.
 package bundle
 
 import (
@@ -107,7 +108,7 @@ func Decode(data []byte) (*Bundle, error) {
 var journalPhases = map[string]bool{"map": true, "reduce": true, "done": true}
 
 // Validate checks a serialized bundle against the schema as
-// cmd/bundlecheck (and the deterministic e2e) understand it: every
+// `eclipse-check bundle` (and the deterministic e2e) understand it: every
 // section present, a known version, a stated reason, at least one event
 // in canonical merged order, at least one per-node metrics snapshot, a
 // coherent membership view, and well-formed journal entries.

@@ -467,25 +467,8 @@ func (c *Cluster) TraceSpans(jobID string) ([]trace.Span, int64, error) {
 
 // TraceSpansContext is TraceSpans with caller-controlled cancellation.
 func (c *Cluster) TraceSpansContext(ctx context.Context, jobID string) ([]trace.Span, int64, error) {
-	body, err := transport.Encode(SpansReq{Trace: jobID})
-	if err != nil {
-		return nil, 0, err
-	}
-	var all []trace.Span
-	var dropped int64
-	for _, id := range c.Nodes() {
-		out, err := c.net.Call(ctx, id, MethodSpans, body)
-		if err != nil {
-			continue
-		}
-		var resp SpansResp
-		if err := transport.Decode(out, &resp); err != nil {
-			return nil, dropped, err
-		}
-		all = append(all, resp.Spans...)
-		dropped += resp.Dropped
-	}
-	return trace.Dedupe(all), dropped, nil
+	return collect(ctx, c, MethodSpans, SpansReq{Trace: jobID},
+		func(r *SpansResp) ([]trace.Span, int64) { return r.Spans, r.Dropped }, trace.Dedupe)
 }
 
 // Events collects the retained structured events of one job (empty
@@ -501,25 +484,37 @@ func (c *Cluster) Events(jobID string) ([]events.Event, int64, error) {
 
 // EventsContext is Events with caller-controlled cancellation.
 func (c *Cluster) EventsContext(ctx context.Context, jobID string) ([]events.Event, int64, error) {
-	body, err := transport.Encode(EventsReq{Job: jobID})
+	return collect(ctx, c, MethodEvents, EventsReq{Job: jobID},
+		func(r *EventsResp) ([]events.Event, int64) { return r.Events, r.Dropped }, events.Merge)
+}
+
+// collect fans one collection RPC (cluster.spans, cluster.events) out to
+// every live node, unions the items each reply carries, and returns them
+// canonicalized by merge plus the summed per-node dropped counts.
+// Unreachable nodes are skipped; a reply that fails to decode is an
+// error.
+func collect[Resp, T any](ctx context.Context, c *Cluster, method string, req any,
+	items func(*Resp) ([]T, int64), merge func([]T) []T) ([]T, int64, error) {
+	body, err := transport.Encode(req)
 	if err != nil {
 		return nil, 0, err
 	}
-	var all []events.Event
+	var all []T
 	var dropped int64
 	for _, id := range c.Nodes() {
-		out, err := c.net.Call(ctx, id, MethodEvents, body)
+		out, err := c.net.Call(ctx, id, method, body)
 		if err != nil {
 			continue
 		}
-		var resp EventsResp
+		var resp Resp
 		if err := transport.Decode(out, &resp); err != nil {
 			return nil, dropped, err
 		}
-		all = append(all, resp.Events...)
-		dropped += resp.Dropped
+		got, d := items(&resp)
+		all = append(all, got...)
+		dropped += d
 	}
-	return events.Merge(all), dropped, nil
+	return merge(all), dropped, nil
 }
 
 // DebugBundle assembles a cluster-wide debug bundle for one job ("" =

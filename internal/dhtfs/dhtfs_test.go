@@ -340,11 +340,11 @@ func TestReReplicateRestoresInvariant(t *testing.T) {
 func TestSegmentsPushFetchDrop(t *testing.T) {
 	tc := newTestCluster(t, 4, 2)
 	a, b := tc.services[tc.ids[0]], tc.services[tc.ids[1]]
-	if err := a.PushSegment(context.Background(), tc.ids[1], "job9", "r0", []byte("spill-1"), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.PushSegment(context.Background(), tc.ids[1], "job9", "r0", []byte("spill-2"), 0); err != nil {
-		t.Fatal(err)
+	for _, spill := range []string{"spill-1", "spill-2"} {
+		entry := []SegBatchEntry{{Partition: "r0", Data: []byte(spill)}}
+		if err := a.PushTaggedSegmentBatch(context.Background(), tc.ids[1], "job9", entry, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	segs, err := b.FetchSegments(context.Background(), tc.ids[1], "job9", "r0")
 	if err != nil {

@@ -11,8 +11,8 @@ import (
 
 // TestPushTaggedSegmentBatch drives the coalesced raw-frame push path:
 // one RPC carrying spills for several partitions must land each entry
-// with PushTaggedSegment semantics, both across the network and through
-// the local self short-circuit.
+// with its own (task, attempt, seq) semantics, both across the network
+// and through the local self short-circuit.
 func TestPushTaggedSegmentBatch(t *testing.T) {
 	tc := newTestCluster(t, 3, 2)
 	a, b := tc.services[tc.ids[0]], tc.services[tc.ids[1]]
@@ -50,7 +50,7 @@ func TestPushTaggedSegmentBatch(t *testing.T) {
 }
 
 // TestBatchRetransmitAndSupersede pins that batch entries keep the exact
-// (task, attempt, seq) dedup semantics of the single-spill path.
+// (task, attempt, seq) dedup semantics of Store.AppendTaskSegment.
 func TestBatchRetransmitAndSupersede(t *testing.T) {
 	tc := newTestCluster(t, 2, 1)
 	a := tc.services[tc.ids[0]]
@@ -102,17 +102,17 @@ func TestBatchMalformedEntryRejected(t *testing.T) {
 	}
 }
 
-// TestRawTaggedFetchRoundTrip checks the raw-frame read path end to end
-// against data written through the gob single-spill path, so both wire
-// generations stay interoperable.
+// TestRawTaggedFetchRoundTrip checks the raw-frame tagged read path end
+// to end against spills written one batch RPC each, including an empty
+// spill and one large enough to span many frame bytes.
 func TestRawTaggedFetchRoundTrip(t *testing.T) {
 	tc := newTestCluster(t, 2, 1)
 	a := tc.services[tc.ids[0]]
 	to := tc.ids[1]
 	want := [][]byte{[]byte("s0"), {}, bytes.Repeat([]byte{0xab}, 1<<10)}
 	for i, data := range want {
-		if err := a.PushTaggedSegment(context.Background(), to, "jobF", "p0000",
-			SegTag{Task: "m1", Seq: i}, data, 0); err != nil {
+		entry := []SegBatchEntry{{Partition: "p0000", Tag: SegTag{Task: "m1", Seq: i}, Data: data}}
+		if err := a.PushTaggedSegmentBatch(context.Background(), to, "jobF", entry, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

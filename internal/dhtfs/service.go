@@ -42,27 +42,9 @@ type (
 	getMetaResp struct {
 		Meta Metadata
 	}
-	appendSegReq struct {
-		Job       string
-		Partition string
-		Data      []byte
-		TTL       time.Duration
-		// Task/Attempt/Seq attribute the spill to one map-task attempt so
-		// retried pushes and re-executed attempts stay idempotent (Task ""
-		// is an untracked legacy append).
-		Task    string
-		Attempt int
-		Seq     int
-	}
 	readSegReq struct {
 		Job       string
 		Partition string
-	}
-	readSegResp struct {
-		Segments [][]byte
-	}
-	readTaggedSegResp struct {
-		Segments []TaggedSegment
 	}
 	// segBatchHdr heads a raw-frame batch append: the entries describe how
 	// the frame payload splits into per-spill byte ranges (see
@@ -115,18 +97,13 @@ type (
 
 // Method names mounted by the cluster node dispatcher.
 const (
-	MethodPutBlock   = "fs.putBlock"
-	MethodGetBlock   = "fs.getBlock"
-	MethodHasBlock   = "fs.hasBlock"
-	MethodPutMeta    = "fs.putMeta"
-	MethodGetMeta    = "fs.getMeta"
-	MethodAppendSeg  = "fs.appendSegment"
-	MethodReadSeg    = "fs.readSegments"
-	MethodReadSegTag = "fs.readTaggedSegments"
-	// The *Batch/*Raw methods are the shuffle fast path: raw-frame bodies
-	// (length-prefixed KV bytes behind a small gob header) instead of gob
-	// all the way down. The gob methods above stay mounted for
-	// compatibility with older callers.
+	MethodPutBlock = "fs.putBlock"
+	MethodGetBlock = "fs.getBlock"
+	MethodHasBlock = "fs.hasBlock"
+	MethodPutMeta  = "fs.putMeta"
+	MethodGetMeta  = "fs.getMeta"
+	// The shuffle methods carry raw-frame bodies (length-prefixed KV
+	// bytes behind a small gob header) instead of gob all the way down.
 	MethodAppendSegBatch = "fs.appendSegmentBatch"
 	MethodReadSegRaw     = "fs.readSegmentsRaw"
 	MethodReadSegTagRaw  = "fs.readTaggedSegmentsRaw"
@@ -278,17 +255,6 @@ func (s *Service) Handle(ctx context.Context, method string, body []byte) ([]byt
 		}
 		out, err := transport.Encode(getMetaResp{Meta: meta})
 		return out, true, err
-	case MethodAppendSeg:
-		var req appendSegReq
-		if err := transport.Decode(body, &req); err != nil {
-			return nil, true, err
-		}
-		s.reg.Counter("fs.segments.appended").Inc()
-		s.reg.Counter("fs.segments.bytes").Add(int64(len(req.Data)))
-		disp := s.store.AppendTaskSegment(req.Job, req.Partition, req.Task, req.Attempt, req.Seq, req.Data, req.TTL)
-		s.noteSegDisposition(disp, req.Job, req.Task, req.Attempt)
-		out, err := transport.Encode(empty{})
-		return out, true, err
 	case MethodAppendSegBatch:
 		var hdr segBatchHdr
 		payload, err := transport.DecodeFrame(body, &hdr)
@@ -312,13 +278,6 @@ func (s *Service) Handle(ctx context.Context, method string, body []byte) ([]byt
 		}
 		s.reg.Counter("fs.segments.batches").Inc()
 		out, err := transport.Encode(empty{})
-		return out, true, err
-	case MethodReadSeg:
-		var req readSegReq
-		if err := transport.Decode(body, &req); err != nil {
-			return nil, true, err
-		}
-		out, err := transport.Encode(readSegResp{Segments: s.store.ReadSegments(req.Job, req.Partition)})
 		return out, true, err
 	case MethodReadSegRaw:
 		var req readSegReq
@@ -345,13 +304,6 @@ func (s *Service) Handle(ctx context.Context, method string, body []byte) ([]byt
 			payload[i] = seg.Data
 		}
 		out, err := transport.EncodeFrame(hdr, payload...)
-		return out, true, err
-	case MethodReadSegTag:
-		var req readSegReq
-		if err := transport.Decode(body, &req); err != nil {
-			return nil, true, err
-		}
-		out, err := transport.Encode(readTaggedSegResp{Segments: s.store.ReadTaggedSegments(req.Job, req.Partition)})
 		return out, true, err
 	case MethodDropSeg:
 		var req dropSegReq
@@ -692,28 +644,12 @@ func (s *Service) ReadFile(ctx context.Context, name, user string) ([]byte, erro
 	return out, nil
 }
 
-// PushSegment appends intermediate-result data for a job partition on the
-// node owning the partition key (the proactive-shuffle write). A positive
-// ttl invalidates the data after that duration.
-func (s *Service) PushSegment(ctx context.Context, to hashing.NodeID, job, partition string, data []byte, ttl time.Duration) error {
-	return s.call(ctx, to, MethodAppendSeg, appendSegReq{Job: job, Partition: partition, Data: data, TTL: ttl}, nil)
-}
-
 // SegTag attributes a spill to one map-task attempt (see
 // Store.AppendTaskSegment).
 type SegTag struct {
 	Task    string
 	Attempt int
 	Seq     int
-}
-
-// PushTaggedSegment is PushSegment with task attribution, the idempotent
-// write path retried and re-executed mappers must use.
-func (s *Service) PushTaggedSegment(ctx context.Context, to hashing.NodeID, job, partition string, tag SegTag, data []byte, ttl time.Duration) error {
-	return s.call(ctx, to, MethodAppendSeg, appendSegReq{
-		Job: job, Partition: partition, Data: data, TTL: ttl,
-		Task: tag.Task, Attempt: tag.Attempt, Seq: tag.Seq,
-	}, nil)
 }
 
 // SegBatchEntry is one spill in a coalesced batch push: the partition it
@@ -725,9 +661,10 @@ type SegBatchEntry struct {
 }
 
 // PushTaggedSegmentBatch delivers many spills — possibly for different
-// partitions — to one node in a single raw-frame RPC. Each entry lands
-// with exactly the semantics of PushTaggedSegment (idempotent per
-// (task, attempt, seq)), so a retried batch is safe.
+// partitions — to the node owning them (the proactive-shuffle write) in
+// a single raw-frame RPC. Each entry lands idempotently per (task,
+// attempt, seq) (see Store.AppendTaskSegment), so a retried batch is
+// safe; a positive ttl invalidates the data after that duration.
 func (s *Service) PushTaggedSegmentBatch(ctx context.Context, to hashing.NodeID, job string, entries []SegBatchEntry, ttl time.Duration) error {
 	hdr := segBatchHdr{Job: job, TTL: ttl, Entries: make([]segBatchPart, len(entries))}
 	payload := make([][]byte, len(entries))

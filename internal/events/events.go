@@ -8,7 +8,8 @@
 // fails or a recovery fires, the last N events from every node are the
 // first (often the only) artifact needed to answer "why did it do that".
 //
-// The design discipline is the same as internal/trace, deliberately:
+// The design discipline is the same as internal/trace, deliberately —
+// both record through the shared metrics.Ring and metrics.Stamp:
 //
 //   - Cheap when filtered: emitting an event whose kind is masked off
 //     costs one atomic load and returns.
@@ -25,7 +26,6 @@
 package events
 
 import (
-	"hash/fnv"
 	"sync/atomic"
 
 	"eclipsemr/internal/metrics"
@@ -150,15 +150,13 @@ type Options struct {
 const DefaultCapacity = 8192
 
 // Log records events for one node in a bounded lock-free ring. A nil
-// *Log is valid and records nothing.
+// *Log is valid and records nothing. The embedded stamp supplies its
+// clock (SetClock) and event IDs.
 type Log struct {
-	node   string
-	clock  metrics.Clock
-	idBase uint64 // seeded node hash in the high 32 bits
-
+	metrics.Stamp
+	node string
 	mask atomic.Uint64 // bit per Kind; Emit is a no-op for cleared bits
-	ctr  atomic.Uint64
-	ring ring
+	ring metrics.Ring[Event]
 }
 
 // New returns an event log for the named node with every kind enabled.
@@ -167,18 +165,10 @@ func New(node string, o Options) *Log {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	clock := o.Clock
-	if clock == nil {
-		clock = metrics.WallClock()
-	}
-	h := fnv.New32a()
-	h.Write([]byte(node))
-	base := uint64(h.Sum32()) ^ (o.Seed ^ o.Seed>>32&0xffffffff)
 	l := &Log{
-		node:   node,
-		clock:  clock,
-		idBase: (base & 0xffffffff) << 32,
-		ring:   newRing(capacity),
+		Stamp: metrics.NewStamp(node, o.Clock, o.Seed),
+		node:  node,
+		ring:  metrics.NewRing[Event](capacity),
 	}
 	l.mask.Store(AllKinds)
 	return l
@@ -192,14 +182,6 @@ func (l *Log) Node() string {
 	return l.node
 }
 
-// SetClock replaces the log's time source (nil restores wall time).
-func (l *Log) SetClock(c metrics.Clock) {
-	if c == nil {
-		c = metrics.WallClock()
-	}
-	l.clock = c
-}
-
 // NowNS returns the log clock's current time in UnixNano (0 on a nil
 // log), for capture code stamping artifacts on the same clock as the
 // events they contain.
@@ -207,7 +189,7 @@ func (l *Log) NowNS() int64 {
 	if l == nil {
 		return 0
 	}
-	return l.clock.Now().UnixNano()
+	return l.Stamp.NowNS()
 }
 
 // Mask returns the enabled-kind bitmask.
@@ -254,15 +236,15 @@ func (l *Log) Emit(k Kind, name string, f F) {
 	if l == nil || l.mask.Load()&(1<<k) == 0 {
 		return
 	}
-	l.ring.put(&Event{
-		ID:      l.idBase | (l.ctr.Add(1) & 0xffffffff),
+	l.ring.Put(&Event{
+		ID:      l.NextID(),
 		Kind:    k,
 		Name:    name,
 		Job:     f.Job,
 		Task:    f.Task,
 		Attempt: f.Attempt,
 		Node:    l.node,
-		AtNS:    l.clock.Now().UnixNano(),
+		AtNS:    l.Stamp.NowNS(),
 		Detail:  f.Detail,
 	})
 }
@@ -276,7 +258,7 @@ func (l *Log) Events(job string, sinceNS int64) []Event {
 		return nil
 	}
 	var out []Event
-	for _, e := range l.ring.snapshot() {
+	for _, e := range l.ring.Snapshot() {
 		if job != "" && e.Job != "" && e.Job != job {
 			continue
 		}
@@ -294,50 +276,5 @@ func (l *Log) Dropped() int64 {
 	if l == nil {
 		return 0
 	}
-	return l.ring.dropped()
-}
-
-// ring is a bounded lock-free buffer of emitted events, identical in
-// discipline to the trace span ring: writers claim a slot with one
-// atomic increment; when the buffer wraps, the oldest event is
-// overwritten.
-type ring struct {
-	slots []atomic.Pointer[Event]
-	next  atomic.Uint64
-}
-
-func newRing(capacity int) ring {
-	return ring{slots: make([]atomic.Pointer[Event], capacity)}
-}
-
-func (r *ring) put(e *Event) {
-	i := r.next.Add(1) - 1
-	r.slots[i%uint64(len(r.slots))].Store(e)
-}
-
-// snapshot returns the retained events oldest-first. Concurrent puts may
-// race individual slots; each slot read is atomic and events are
-// immutable once stored, so every returned event is complete.
-func (r *ring) snapshot() []*Event {
-	n := r.next.Load()
-	size := uint64(len(r.slots))
-	start := uint64(0)
-	if n > size {
-		start = n - size
-	}
-	out := make([]*Event, 0, n-start)
-	for i := start; i < n; i++ {
-		if e := r.slots[i%size].Load(); e != nil {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-func (r *ring) dropped() int64 {
-	n := r.next.Load()
-	if size := uint64(len(r.slots)); n > size {
-		return int64(n - size)
-	}
-	return 0
+	return l.ring.Dropped()
 }

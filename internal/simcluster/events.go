@@ -85,9 +85,9 @@ func (m *Model) EventsDropped() int64 {
 
 // DebugBundle captures the simulated cluster into the same canonical
 // bundle format the real engine's flight recorder produces, so
-// cmd/bundlecheck and the walkthroughs treat simulated and real captures
-// alike. Requires EnableEvents (a bundle without events is invalid by
-// definition — there is nothing to explain the capture with).
+// `eclipse-check bundle` and the walkthroughs treat simulated and real
+// captures alike. Requires EnableEvents (a bundle without events is
+// invalid by definition — there is nothing to explain the capture with).
 func (m *Model) DebugBundle(job, reason string) ([]byte, error) {
 	if m.ev == nil {
 		return nil, fmt.Errorf("simcluster: DebugBundle requires EnableEvents")
@@ -101,6 +101,12 @@ func (m *Model) DebugBundle(job, reason string) ([]byte, error) {
 		Spans:     m.TraceSpans(job),
 	}
 	b.EventsDropped = m.EventsDropped()
+	if m.tr != nil {
+		b.SpansDropped = m.tr.driver.Dropped()
+		for _, t := range m.tr.nodes {
+			b.SpansDropped += t.Dropped()
+		}
+	}
 	for i, id := range m.ids {
 		if m.dead != nil && m.dead[i] {
 			continue

@@ -6,6 +6,8 @@ import (
 
 	"eclipsemr/internal/bundle"
 	"eclipsemr/internal/events"
+	"eclipsemr/internal/metrics"
+	"eclipsemr/internal/trace"
 )
 
 // runKillRecovery executes one seeded kill-a-node WordCount: node 3 is
@@ -102,7 +104,7 @@ func TestKillRecoveryDeterministicTimeline(t *testing.T) {
 }
 
 // TestKillRecoveryBundleValidates pins the auto-captured bundle against
-// the schema cmd/bundlecheck enforces: events + metrics + spans +
+// the schema `eclipse-check bundle` enforces: events + metrics + spans +
 // membership present, the victim gone from the view, and the canonical
 // encoding stable under re-encode.
 func TestKillRecoveryBundleValidates(t *testing.T) {
@@ -138,6 +140,42 @@ func TestKillRecoveryBundleValidates(t *testing.T) {
 	}
 	if string(re) != string(data) {
 		t.Error("re-encoding the decoded bundle changed bytes")
+	}
+}
+
+// TestBundleCountsDroppedSpans pins that a simulated bundle reports the
+// spans its tracers' rings overwrote: with 4-slot tracers a whole job
+// cannot fit, so spans_dropped must be positive, not a silent 0.
+func TestBundleCountsDroppedSpans(t *testing.T) {
+	m, err := NewModel(Params{Nodes: 4, RackSize: 4}, Eclipse, LAF(0.001))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.EnableEvents(1)
+	clock := metrics.ClockFunc(m.S.Clock())
+	mk := func(node string) *trace.Tracer {
+		tr := trace.New(node, trace.Options{Clock: clock, Seed: 1, Capacity: 4})
+		tr.SetEnabled(true)
+		return tr
+	}
+	m.tr = &modelTrace{driver: mk("driver")}
+	for _, id := range m.ids {
+		m.tr.nodes = append(m.tr.nodes, mk(string(id)))
+	}
+	if err := m.Submit(JobDesc{Name: "wc", App: ProfileWordCount, InputBytes: gb, Seed: 1}, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	m.Run()
+	data, err := m.DebugBundle("", "manual")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := bundle.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.SpansDropped <= 0 {
+		t.Fatalf("spans_dropped = %d with 4-slot tracers, want > 0", b.SpansDropped)
 	}
 }
 

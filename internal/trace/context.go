@@ -77,10 +77,9 @@ func Eventf(ctx context.Context, format string, args ...interface{}) {
 
 // StartRoot begins a new trace rooted at this tracer (trace ID = job
 // ID) and returns a context carrying the root span. With tracing
-// disabled, or when the trace is sampled out, it returns (ctx, nil);
-// nil spans are safe everywhere.
+// disabled it returns (ctx, nil); nil spans are safe everywhere.
 func (t *Tracer) StartRoot(ctx context.Context, traceID, name string) (context.Context, *Span) {
-	if t == nil || !t.enabled.Load() || !t.sampled(traceID) {
+	if t == nil || !t.enabled.Load() {
 		return ctx, nil
 	}
 	sp := t.start(traceID, 0, name)

@@ -25,7 +25,6 @@ package trace
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
@@ -86,7 +85,7 @@ func (s *Span) Eventf(format string, args ...interface{}) {
 	if s == nil {
 		return
 	}
-	at := s.tr.nowNS()
+	at := s.tr.NowNS()
 	s.mu.Lock()
 	if !s.ended {
 		s.Events = append(s.Events, Event{AtNS: at, Msg: fmt.Sprintf(format, args...)})
@@ -100,7 +99,7 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	end := s.tr.nowNS()
+	end := s.tr.NowNS()
 	s.mu.Lock()
 	if s.ended {
 		s.mu.Unlock()
@@ -112,7 +111,7 @@ func (s *Span) End() {
 		s.DurNS = 0
 	}
 	s.mu.Unlock()
-	s.tr.ring.put(s)
+	s.tr.ring.Put(s)
 }
 
 // snapshot returns a detached copy safe to serialize.
@@ -139,25 +138,19 @@ type Options struct {
 	// Capacity bounds the finished-span ring buffer; 0 selects 4096.
 	// Oldest spans are overwritten when full.
 	Capacity int
-	// SampleEvery keeps one of every N traces (decided per trace ID at
-	// the root, so a trace is all-or-nothing). 0 or 1 keeps every trace.
-	SampleEvery int
 }
 
 // DefaultCapacity is the ring size when Options.Capacity is zero.
 const DefaultCapacity = 4096
 
 // Tracer creates spans for one node and retains finished spans in a
-// bounded lock-free ring buffer until collected.
+// bounded lock-free ring buffer until collected. The embedded stamp
+// supplies its clock (SetClock) and span IDs.
 type Tracer struct {
-	node        string
-	clock       metrics.Clock
-	idBase      uint64 // node/seed hash in the high 32 bits
-	sampleEvery uint64
-
+	metrics.Stamp
+	node    string
 	enabled atomic.Bool
-	ctr     atomic.Uint64
-	ring    ring
+	ring    metrics.Ring[Span]
 }
 
 // New returns a tracer for the named node. Tracing starts disabled;
@@ -167,21 +160,11 @@ func New(node string, o Options) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	clock := o.Clock
-	if clock == nil {
-		clock = metrics.WallClock()
+	return &Tracer{
+		Stamp: metrics.NewStamp(node, o.Clock, o.Seed),
+		node:  node,
+		ring:  metrics.NewRing[Span](capacity),
 	}
-	h := fnv.New32a()
-	h.Write([]byte(node))
-	base := uint64(h.Sum32()) ^ (o.Seed ^ o.Seed>>32&0xffffffff)
-	t := &Tracer{
-		node:        node,
-		clock:       clock,
-		idBase:      (base & 0xffffffff) << 32,
-		sampleEvery: uint64(o.SampleEvery),
-		ring:        newRing(capacity),
-	}
-	return t
 }
 
 // Node returns the node name spans are stamped with.
@@ -198,39 +181,13 @@ func (t *Tracer) SetEnabled(on bool) {
 	}
 }
 
-// SetClock replaces the tracer's time source (nil restores wall time).
-func (t *Tracer) SetClock(c metrics.Clock) {
-	if c == nil {
-		c = metrics.WallClock()
-	}
-	t.clock = c
-}
-
-func (t *Tracer) nowNS() int64 {
+// NowNS returns the tracer clock's current time in UnixNano (0 on a nil
+// tracer), for callers reconstructing start times with StartSpanAt.
+func (t *Tracer) NowNS() int64 {
 	if t == nil {
 		return 0
 	}
-	return t.clock.Now().UnixNano()
-}
-
-// NowNS returns the tracer clock's current time in UnixNano (0 on a nil
-// tracer), for callers reconstructing start times with StartSpanAt.
-func (t *Tracer) NowNS() int64 { return t.nowNS() }
-
-// nextID returns a fresh span ID: node hash high bits, counter low bits.
-func (t *Tracer) nextID() SpanID {
-	return SpanID(t.idBase | (t.ctr.Add(1) & 0xffffffff))
-}
-
-// sampled decides, from the trace ID alone, whether this trace is kept.
-// Every node makes the same decision for the same ID.
-func (t *Tracer) sampled(traceID string) bool {
-	if t.sampleEvery <= 1 {
-		return true
-	}
-	h := fnv.New64a()
-	h.Write([]byte(traceID))
-	return h.Sum64()%t.sampleEvery == 0
+	return t.Stamp.NowNS()
 }
 
 // start builds and registers a span. Callers have already checked
@@ -239,11 +196,11 @@ func (t *Tracer) start(traceID string, parent SpanID, name string) *Span {
 	return &Span{
 		Trace:   traceID,
 		mu:      new(sync.Mutex),
-		ID:      t.nextID(),
+		ID:      SpanID(t.NextID()),
 		Parent:  parent,
 		Name:    name,
 		Node:    t.node,
-		StartNS: t.nowNS(),
+		StartNS: t.NowNS(),
 		tr:      t,
 	}
 }
@@ -255,7 +212,7 @@ func (t *Tracer) Spans(traceID string) []Span {
 		return nil
 	}
 	var out []Span
-	for _, s := range t.ring.snapshot() {
+	for _, s := range t.ring.Snapshot() {
 		if traceID == "" || s.Trace == traceID {
 			out = append(out, s.snapshot())
 		}
@@ -265,48 +222,4 @@ func (t *Tracer) Spans(traceID string) []Span {
 
 // Dropped returns how many finished spans have been overwritten before
 // collection.
-func (t *Tracer) Dropped() int64 { return t.ring.dropped() }
-
-// ring is a bounded lock-free buffer of finished spans. Writers claim a
-// slot with one atomic increment and store the span pointer; when the
-// buffer wraps, the oldest span is overwritten.
-type ring struct {
-	slots []atomic.Pointer[Span]
-	next  atomic.Uint64
-}
-
-func newRing(capacity int) ring {
-	return ring{slots: make([]atomic.Pointer[Span], capacity)}
-}
-
-func (r *ring) put(s *Span) {
-	i := r.next.Add(1) - 1
-	r.slots[i%uint64(len(r.slots))].Store(s)
-}
-
-// snapshot returns the retained spans oldest-first. Concurrent puts may
-// race individual slots; each slot read is atomic, so every returned
-// span is complete.
-func (r *ring) snapshot() []*Span {
-	n := r.next.Load()
-	size := uint64(len(r.slots))
-	start := uint64(0)
-	if n > size {
-		start = n - size
-	}
-	out := make([]*Span, 0, n-start)
-	for i := start; i < n; i++ {
-		if s := r.slots[i%size].Load(); s != nil {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-func (r *ring) dropped() int64 {
-	n := r.next.Load()
-	if size := uint64(len(r.slots)); n > size {
-		return int64(n - size)
-	}
-	return 0
-}
+func (t *Tracer) Dropped() int64 { return t.ring.Dropped() }

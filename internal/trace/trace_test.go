@@ -149,36 +149,6 @@ func TestSeededIDsDeterministic(t *testing.T) {
 	}
 }
 
-func TestSamplingAllOrNothingPerTrace(t *testing.T) {
-	tr := New("n0", Options{SampleEvery: 2, Clock: tickClock(0, time.Millisecond)})
-	tr.SetEnabled(true)
-	kept := 0
-	for i := 0; i < 64; i++ {
-		id := fmt.Sprintf("job-%d", i)
-		ctx, root := tr.StartRoot(context.Background(), id, "root")
-		if root == nil {
-			if _, c := tr.StartSpan(ctx, "child"); c != nil {
-				t.Fatalf("trace %s sampled out but child recorded", id)
-			}
-			continue
-		}
-		kept++
-		root.End()
-	}
-	if kept == 0 || kept == 64 {
-		t.Fatalf("sampling kept %d/64", kept)
-	}
-	// The decision must be per trace-ID and reproducible.
-	tr2 := New("other", Options{SampleEvery: 2})
-	tr2.SetEnabled(true)
-	for i := 0; i < 64; i++ {
-		id := fmt.Sprintf("job-%d", i)
-		if tr.sampled(id) != tr2.sampled(id) {
-			t.Fatalf("nodes disagree on sampling %s", id)
-		}
-	}
-}
-
 func TestChromeExportDeterministicAndValid(t *testing.T) {
 	mk := func() []byte {
 		d := New("driver", Options{Clock: tickClock(0, time.Millisecond)})

@@ -12,7 +12,7 @@ import (
 // payload itself — already length-prefixed KV bytes on the shuffle path —
 // rides behind it verbatim instead of round-tripping through gob's
 // reflection-driven Encode/Decode. The frame is an opaque call body to
-// every Network implementation, so the v1/v2 TCP envelope, chaos
+// every Network implementation, so the TCP envelope, chaos
 // injection, retry and trace propagation all apply unchanged:
 //
 //	u32 headerLen | gob(header) | payload...

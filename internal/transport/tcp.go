@@ -23,16 +23,12 @@ import (
 //
 // Wire format, all integers big-endian:
 //
-//	request v1:  u64 reqID | u16 methodLen | method | u32 bodyLen | body
-//	request v2:  u64 reqID | u16 methodLen|0x8000 | method
-//	             | u16 hdrLen | hdr | u32 bodyLen | body
-//	response:    u64 reqID | u8 status(0 ok, 1 err) | u32 len | payload
+//	request:   u64 reqID | u16 methodLen | method | u16 hdrLen | hdr
+//	           | u32 bodyLen | body
+//	response:  u64 reqID | u8 status(0 ok, 1 err) | u32 len | payload
 //
-// The high bit of methodLen versions the request frame: v2 inserts a
-// small envelope header (today: the trace.SpanContext) between method
-// and body. Writers emit v1 whenever the header would be empty — an
-// untraced new node is byte-identical to an old one — and readers accept
-// both, so old and new binaries interoperate within a rolling upgrade.
+// hdr is the envelope header: today the caller's trace.SpanContext, or
+// empty (hdrLen 0) for an untraced call.
 type TCP struct {
 	mu       sync.Mutex
 	registry map[hashing.NodeID]string // node -> host:port
@@ -373,31 +369,19 @@ func (c *tcpConn) roundTrip(method string, hdr, body []byte, timeout time.Durati
 	}
 }
 
-// frameV2Flag marks a v2 request frame in the methodLen field; method
-// names are bounded well below 32 KiB so the bit is free.
-const frameV2Flag = 0x8000
-
 func (c *tcpConn) writeRequest(id uint64, method string, envHdr, body []byte) error {
-	if len(method) >= frameV2Flag {
+	if len(method) > 1<<16-1 {
 		return errors.New("transport: method name too long")
 	}
 	if len(envHdr) > 1<<16-1 {
 		return errors.New("transport: envelope header too long")
 	}
 	buf := make([]byte, 0, 16+len(method)+len(envHdr)+len(body))
-	var scratch [8]byte
-	binary.BigEndian.PutUint64(scratch[:], id)
-	buf = append(buf, scratch[:]...)
-	mlen := uint16(len(method))
-	if len(envHdr) > 0 {
-		mlen |= frameV2Flag // v2 frame: envelope header follows the method
-	}
-	buf = binary.BigEndian.AppendUint16(buf, mlen)
+	buf = binary.BigEndian.AppendUint64(buf, id)
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(method)))
 	buf = append(buf, method...)
-	if len(envHdr) > 0 {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(envHdr)))
-		buf = append(buf, envHdr...)
-	}
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(envHdr)))
+	buf = append(buf, envHdr...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(body)))
 	buf = append(buf, body...)
 	c.wmu.Lock()
@@ -431,21 +415,17 @@ func readRequest(r io.Reader) (reqID uint64, method string, envHdr, body []byte,
 		return 0, "", nil, nil, err
 	}
 	reqID = binary.BigEndian.Uint64(hdr[0:8])
-	mlen := binary.BigEndian.Uint16(hdr[8:10])
-	v2 := mlen&frameV2Flag != 0
-	mbuf := make([]byte, mlen&^frameV2Flag)
+	mbuf := make([]byte, binary.BigEndian.Uint16(hdr[8:10]))
 	if _, err = io.ReadFull(r, mbuf); err != nil {
 		return 0, "", nil, nil, err
 	}
-	if v2 {
-		var lbuf [2]byte
-		if _, err = io.ReadFull(r, lbuf[:]); err != nil {
-			return 0, "", nil, nil, err
-		}
-		envHdr = make([]byte, binary.BigEndian.Uint16(lbuf[:]))
-		if _, err = io.ReadFull(r, envHdr); err != nil {
-			return 0, "", nil, nil, err
-		}
+	var hlen [2]byte
+	if _, err = io.ReadFull(r, hlen[:]); err != nil {
+		return 0, "", nil, nil, err
+	}
+	envHdr = make([]byte, binary.BigEndian.Uint16(hlen[:]))
+	if _, err = io.ReadFull(r, envHdr); err != nil {
+		return 0, "", nil, nil, err
 	}
 	var lbuf [4]byte
 	if _, err = io.ReadFull(r, lbuf[:]); err != nil {

@@ -3,11 +3,14 @@ package transport
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"eclipsemr/internal/trace"
 )
 
 // failWriteConn wraps a net.Conn and fails every Write once armed,
@@ -86,5 +89,38 @@ func TestTCPServeConnClosesOnWriteError(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("serveConn did not return after the connection was closed")
+	}
+}
+
+// TestTCPPropagatesSpanContext sends calls over a real socket and checks
+// what the envelope header delivers to the handler: a traced call's span
+// context arrives as trace.Remote, an untraced call (empty header)
+// arrives with none, and a corrupt header loses only the tracing, never
+// the call.
+func TestTCPPropagatesSpanContext(t *testing.T) {
+	net := newTCPPair(t)
+	remote := func(ctx context.Context, _ string, _ []byte) ([]byte, error) {
+		sc, ok := trace.Remote(ctx)
+		return []byte(fmt.Sprintf("%v %s %d", ok, sc.Trace, sc.Parent)), nil
+	}
+	if err := net.Listen("a", remote); err != nil {
+		t.Fatal(err)
+	}
+
+	traced := trace.WithRemote(context.Background(), trace.SpanContext{Trace: "job-7", Parent: 42})
+	if reply, err := net.Call(traced, "a", "m", nil); err != nil || string(reply) != "true job-7 42" {
+		t.Fatalf("traced call: reply %q, err %v", reply, err)
+	}
+	if reply, err := net.Call(context.Background(), "a", "m", nil); err != nil || string(reply) != "false  0" {
+		t.Fatalf("untraced call: reply %q, err %v", reply, err)
+	}
+
+	c, err := net.conn("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, err := c.roundTrip("m", []byte{0xff, 0x00, 0x01}, nil, 5*time.Second)
+	if err != nil || string(reply) != "false  0" {
+		t.Fatalf("corrupt header: reply %q, err %v", reply, err)
 	}
 }

@@ -50,16 +50,16 @@ go test -race -count=1 ./internal/lint
 
 # Every bundle the recorder captured during the soak — recovery
 # captures fire on green nights too — must satisfy the schema
-# cmd/bundlecheck enforces; a malformed capture is a bug in the
+# eclipse-check bundle enforces; a malformed capture is a bug in the
 # recorder, not in whoever opens the bundle later.
 if ls "$ECLIPSE_BUNDLE_DIR"/*.json >/dev/null 2>&1; then
-	go run ./cmd/bundlecheck "$ECLIPSE_BUNDLE_DIR"/*.json
+	go run ./cmd/eclipse-check bundle "$ECLIPSE_BUNDLE_DIR"/*.json
 fi
 
 # A traced engine run for the artifact, re-validated on disk so the
 # nightly also notices a broken export path.
 BENCH_DIR="$SOAK_DIR" go test -run '^$' -bench 'BenchmarkHarnessTraceOverhead$' -benchtime 1x .
-go run ./cmd/tracecheck "$SOAK_DIR/trace.json"
+go run ./cmd/eclipse-check trace "$SOAK_DIR/trace.json"
 
 echo "soak: artifacts in $SOAK_DIR"
 ls -l "$SOAK_DIR"
